@@ -22,11 +22,12 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem
 
-# Benchmark smoke: one iteration of every benchmark, so a refactor
+# Benchmark smoke: one iteration of every benchmark (the root package
+# and internal/graph's edge-index benchmark), so a refactor
 # that breaks a benchmark's setup (or its acceptance metric wiring)
 # fails CI instead of rotting until the next manual `make bench`.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x .
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/graph/
 
 # Fault-injection suite: flaky/hanging sources and overload against
 # the full serving stack, twice, under the race detector.

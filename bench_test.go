@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -961,39 +962,142 @@ func BenchmarkServeObservability(b *testing.B) {
 }
 
 // BenchmarkExplainOverhead prices the introspection layer: the same
-// CNN-style build with provenance recording off and on, plus the
-// profiled query stage alone (what `strudel explain` and
-// /debug/explain execute). Recording happens on the sequential
-// construction stage and profiling on per-block counters, so both must
-// stay within noise of the plain build — the observability tax is paid
-// only when someone asks.
+// build with provenance recording off and on, plus the profiled query
+// stage alone (what `strudel explain` and /debug/explain execute), on
+// the CNN-style site and on the 2000-entry bibliography site that
+// `serve -metrics` maintains. Recording keys each binding row once and
+// then costs one small-map probe per node the row touches; profiling
+// is per-block counters. The bib site is the expensive case — every
+// row touches several pages, and a handful of index pages collect
+// thousands of rows — so compare its two arms, not the CNN ones,
+// before calling introspection cheap.
 func BenchmarkExplainOverhead(b *testing.B) {
-	spec := workload.ArticleSpec(false)
-	data := workload.Articles(300, 1997)
-	buildLoop := func(introspect bool) func(*testing.B) {
-		return func(b *testing.B) {
-			cb := buildSpec(b, spec, data)
-			if introspect {
-				cb.EnableIntrospection()
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := cb.Build(); err != nil {
-					b.Fatal(err)
+	bib := graph.New("BIBTEX")
+	if err := (wrapper.BibTeX{}).Wrap(bib, "refs.bib", workload.BibliographyBibTeX(2000, 1997)); err != nil {
+		b.Fatal(err)
+	}
+	for _, site := range []struct {
+		prefix string
+		spec   *workload.SiteSpec
+		data   *graph.Graph
+	}{
+		{"", workload.ArticleSpec(false), workload.Articles(300, 1997)},
+		{"bib-2000/", workload.BibliographySpec(), bib},
+	} {
+		spec, data := site.spec, site.data
+		buildLoop := func(introspect bool) func(*testing.B) {
+			return func(b *testing.B) {
+				cb := buildSpec(b, spec, data)
+				// Introspection skips differential priming; turn it off in
+				// both arms so they differ by provenance recording alone.
+				cb.SetDifferential(false)
+				if introspect {
+					cb.EnableIntrospection()
+				}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := cb.Build(); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		}
+		b.Run(site.prefix+"build-plain", buildLoop(false))
+		b.Run(site.prefix+"build-introspect", buildLoop(true))
+		b.Run(site.prefix+"explain", func(b *testing.B) {
+			cb := buildSpec(b, spec, data)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := cb.Explain(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	b.Run("build-plain", buildLoop(false))
-	b.Run("build-introspect", buildLoop(true))
-	b.Run("explain", func(b *testing.B) {
-		cb := buildSpec(b, spec, data)
+}
+
+// BenchmarkFullBuild times the build plane as `serve -metrics` runs it
+// on the 2000-entry bibliography site: the BibTeX source through the
+// mediator (AddSourceFunc), introspection on. "build" is the
+// from-scratch Build; "rebuild" edits one entry's title and runs
+// Rebuild, the maintenance cycle. Both report the per-stage means from
+// Result.Stats and "other-ms", the wall time no stage span covers. A
+// measured snapshot lives in BENCH_full_build.json.
+func BenchmarkFullBuild(b *testing.B) {
+	src := workload.BibliographyBibTeX(2000, 1997)
+	spec := workload.BibliographySpec()
+	newBuilder := func(b *testing.B, text *string) *core.Builder {
+		cb := core.NewBuilder(spec.Name)
+		if err := cb.AddSourceFunc("refs.bib", "bibtex", func() (string, error) { return *text, nil }); err != nil {
+			b.Fatal(err)
+		}
+		if err := cb.AddQuery(spec.Query); err != nil {
+			b.Fatal(err)
+		}
+		cb.AddTemplates(spec.Templates)
+		for k := range spec.EmbedOnly {
+			cb.SetEmbedOnly(k)
+		}
+		cb.SetIndex(spec.Index)
+		cb.SetRootCollection(spec.RootCollection)
+		cb.EnableIntrospection()
+		return cb
+	}
+	// stages sums per-stage times over the measured iterations.
+	var med, query, verify, gen, wall time.Duration
+	add := func(st core.Stats, d time.Duration) {
+		med += st.MediationTime
+		query += st.QueryTime
+		verify += st.VerifyTime
+		gen += st.GenerateTime
+		wall += d
+	}
+	report := func(b *testing.B) {
+		per := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 / float64(b.N) }
+		b.ReportMetric(per(med), "mediation-ms")
+		b.ReportMetric(per(query), "query-ms")
+		b.ReportMetric(per(verify), "verify-ms")
+		b.ReportMetric(per(gen), "generate-ms")
+		b.ReportMetric(per(wall-med-query-verify-gen), "other-ms")
+		med, query, verify, gen, wall = 0, 0, 0, 0, 0
+	}
+	b.Run("build", func(b *testing.B) {
+		text := src
+		cb := newBuilder(b, &text)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := cb.Explain(); err != nil {
+			t0 := time.Now()
+			res, err := cb.Build()
+			if err != nil {
 				b.Fatal(err)
 			}
+			add(res.Stats, time.Since(t0))
 		}
+		report(b)
+	})
+	b.Run("rebuild", func(b *testing.B) {
+		text := src
+		cb := newBuilder(b, &text)
+		prev, err := cb.Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			text = strings.Replace(src, "title = {", fmt.Sprintf("title = {v%d ", i), 1)
+			t0 := time.Now()
+			res, err := cb.Rebuild(prev)
+			if err != nil {
+				b.Fatal(err)
+			}
+			add(res.Stats, time.Since(t0))
+			if res.Incremental == nil || res.Incremental.Mode == "noop" {
+				b.Fatalf("title edit rebuilt as %v", res.Incremental)
+			}
+			prev = res
+		}
+		report(b)
 	})
 }
 

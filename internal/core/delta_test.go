@@ -317,6 +317,7 @@ object pub2 in Publications { title "Beta" year 1998 }
 		t.Fatalf("unchanged source rebuild mode = %s, want noop (delta %v)",
 			res.Incremental.Mode, res.Refresh.Warehouse)
 	}
+	checkMediationSpan(t, res)
 
 	// Edit the source: the rebuild is selective and matches scratch.
 	content = strings.Replace(content, `"Alpha"`, `"Alpha v2"`, 1)
@@ -331,6 +332,7 @@ object pub2 in Publications { title "Beta" year 1998 }
 	if res2.Incremental.Site.Reused == 0 {
 		t.Error("selective rebuild must reuse unaffected pages")
 	}
+	checkMediationSpan(t, res2)
 	scratch := NewBuilder("med2")
 	if err := scratch.AddSourceFunc("bib", "datadef", func() (string, error) { return content, nil }); err != nil {
 		t.Fatal(err)
@@ -353,5 +355,23 @@ object pub2 in Publications { title "Beta" year 1998 }
 		if gp == nil || gp.HTML != wp.HTML {
 			t.Errorf("%s differs from scratch build", path)
 		}
+	}
+}
+
+// checkMediationSpan: a mediated rebuild times the mediator refresh as
+// the "mediation" child of its trace, and Stats reports that span.
+func checkMediationSpan(t *testing.T, res *Result) {
+	t.Helper()
+	var med *telemetry.Span
+	for _, sp := range res.Trace.Root().Children() {
+		if sp.Name == "mediation" {
+			med = sp
+		}
+	}
+	if med == nil {
+		t.Fatalf("%s rebuild trace has no mediation span:\n%s", res.Incremental.Mode, res.Trace.Summary())
+	}
+	if res.Stats.MediationTime <= 0 || med.Duration() != res.Stats.MediationTime {
+		t.Errorf("%s rebuild: MediationTime %v, span %v", res.Incremental.Mode, res.Stats.MediationTime, med.Duration())
 	}
 }

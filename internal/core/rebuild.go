@@ -143,11 +143,13 @@ func (b *Builder) Rebuild(prev *Result) (*Result, error) {
 		// what changed.
 		return b.Build()
 	}
-	data, report, err := b.med.RefreshWithReport()
-	if err != nil {
-		return nil, err
-	}
-	return b.rebuildFrom(prev, data, report, report.Warehouse)
+	return b.rebuildFrom(prev, func() (mediated, error) {
+		data, report, err := b.med.RefreshWithReport()
+		if err != nil {
+			return mediated{}, err
+		}
+		return mediated{data, report, report.Warehouse}, nil
+	})
 }
 
 // RebuildWithDelta rebuilds incrementally from an explicitly supplied
@@ -168,10 +170,14 @@ func (b *Builder) RebuildWithDelta(prev *Result, delta *graph.Delta) (*Result, e
 	if prev == nil || prev.Site == nil || prev.SiteGraph == nil {
 		return b.Build()
 	}
-	data, err := b.buildDataGraph()
-	if err != nil {
-		return nil, err
+	if b.dataGraph == nil {
+		// Mediated sources: refresh inside the rebuild trace.
+		return b.rebuildFrom(prev, func() (mediated, error) {
+			data, err := b.med.Refresh()
+			return mediated{data, b.med.LastReport(), delta}, err
+		})
 	}
+	data := b.dataGraph
 	if delta != nil {
 		// A nil delta is an explicit request for a full rebuild — honor
 		// it rather than trusting the journal.
@@ -179,16 +185,26 @@ func (b *Builder) RebuildWithDelta(prev *Result, delta *graph.Delta) (*Result, e
 			if err == errDiffAbort {
 				// The apply died partway: the previous site graph may hold a
 				// partial mutation, so regenerate with no page reuse at all.
-				return b.rebuildFrom(prev, data, nil, nil)
+				return b.rebuildFrom(prev, given(mediated{data: data}))
 			}
 			return res, err
 		}
 	}
-	var report *mediator.RefreshReport
-	if b.dataGraph == nil {
-		report = b.med.LastReport()
-	}
-	return b.rebuildFrom(prev, data, report, delta)
+	return b.rebuildFrom(prev, given(mediated{data: data, delta: delta}))
+}
+
+// mediated is what a rebuild's mediation stage yields: the data graph,
+// the mediator's refresh report (nil for an explicit data graph), and
+// the data delta to rebuild against (nil forces a full rebuild).
+type mediated struct {
+	data   *graph.Graph
+	report *mediator.RefreshReport
+	delta  *graph.Delta
+}
+
+// given is a mediation stage whose outcome is already known.
+func given(m mediated) func() (mediated, error) {
+	return func() (mediated, error) { return m, nil }
 }
 
 // errDiffAbort signals that a differential apply failed after possibly
@@ -366,12 +382,12 @@ func (b *Builder) countDiff(st *struql.MatStats) {
 	blocks("rebound", st.BlocksRebound)
 }
 
-// rebuildFrom is the shared incremental pipeline: analyze the delta,
-// short-circuit when nothing can change, else re-evaluate the queries
-// and regenerate selectively.
-func (b *Builder) rebuildFrom(prev *Result, data *graph.Graph, report *mediator.RefreshReport, delta *graph.Delta) (*Result, error) {
+// rebuildFrom is the shared incremental pipeline: run the mediation
+// stage, analyze the delta, short-circuit when nothing can change,
+// else re-evaluate the queries and regenerate selectively.
+func (b *Builder) rebuildFrom(prev *Result, mediate func() (mediated, error)) (*Result, error) {
 	tr := telemetry.NewTrace("rebuild " + b.name)
-	res := &Result{Trace: tr, DataGraph: data, Refresh: report}
+	res := &Result{Trace: tr}
 	pl := b.buildPool()
 	a0 := telemetry.AllocBytes()
 	defer func() {
@@ -384,13 +400,28 @@ func (b *Builder) rebuildFrom(prev *Result, data *graph.Graph, report *mediator.
 	tr.Root().SetAttr("site", b.name)
 	tr.Root().SetAttr("workers", pl.Workers())
 
+	msp := tr.Root().Child("mediation")
+	m, err := mediate()
+	if err == nil {
+		msp.SetAttr("nodes", m.data.NumNodes())
+		msp.SetAttr("edges", m.data.NumEdges())
+	}
+	msp.Finish()
+	res.Stats.MediationTime = msp.Duration()
+	aMed := telemetry.AllocBytes()
+	res.Stats.MediationAlloc = aMed - a0
+	if err != nil {
+		return nil, err
+	}
+	data, delta := m.data, m.delta
+	res.DataGraph, res.Refresh = data, m.report
+
 	sch := b.siteSchema()
 	impact := schema.Analyze(sch, delta)
 	info := &RebuildInfo{Data: delta, Impact: impact}
 	res.Incremental = info
 
-	ds := data.Stats()
-	res.Stats.DataNodes, res.Stats.DataEdges = ds.Nodes, ds.Edges
+	res.Stats.DataNodes, res.Stats.DataEdges = data.NumNodes(), data.NumEdges()
 
 	// Nothing the schema can see changed: the site graph — a function
 	// of the data graph and the queries — is provably identical, so the
@@ -403,8 +434,7 @@ func (b *Builder) rebuildFrom(prev *Result, data *graph.Graph, report *mediator.
 		res.Provenance = prev.Provenance
 		res.Violations = prev.Violations
 		res.DomainWarnings = prev.DomainWarnings
-		ss := prev.SiteGraph.Stats()
-		res.Stats.SiteNodes, res.Stats.SiteEdges = ss.Nodes, ss.Edges
+		res.Stats.SiteNodes, res.Stats.SiteEdges = prev.SiteGraph.NumNodes(), prev.SiteGraph.NumEdges()
 		res.Stats.Pages = len(prev.Site.Pages)
 		res.Stats.PagesReused = len(prev.Site.Pages)
 		addCount(b.deltaPages("reused"), len(prev.Site.Pages))
@@ -425,7 +455,7 @@ func (b *Builder) rebuildFrom(prev *Result, data *graph.Graph, report *mediator.
 	qsp.Finish()
 	res.Stats.QueryTime = qsp.Duration()
 	aQuery := telemetry.AllocBytes()
-	res.Stats.QueryAlloc = aQuery - a0
+	res.Stats.QueryAlloc = aQuery - aMed
 	if err != nil {
 		return nil, err
 	}
@@ -503,8 +533,7 @@ func (b *Builder) rebuildFrom(prev *Result, data *graph.Graph, report *mediator.
 	addCount(b.deltaPages("reused"), dstats.Reused)
 	addCount(b.deltaPages("pruned"), len(dstats.PrunedPaths))
 
-	ss := site.Stats()
-	res.Stats.SiteNodes, res.Stats.SiteEdges = ss.Nodes, ss.Edges
+	res.Stats.SiteNodes, res.Stats.SiteEdges = site.NumNodes(), site.NumEdges()
 	res.Stats.Pages = len(htmlSite.Pages)
 	res.Stats.PagesReused = dstats.Reused
 	res.Stats.PagesPruned = len(dstats.PrunedPaths)

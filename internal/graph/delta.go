@@ -101,7 +101,8 @@ func (d *Delta) Summary() string {
 }
 
 // objSnap is one object's canonical comparison form: its out-edges as
-// "label\x00targetKey" strings and the collections it belongs to.
+// "label\x00targetKey" strings (targetKey from AppendKey, or a tagged
+// symbolic key for nodes) and the collections it belongs to.
 type objSnap struct {
 	edges   map[string]struct{}
 	members map[string]struct{}
@@ -126,21 +127,28 @@ func (g *Graph) snapshot() (objs map[string]*objSnap, colls map[string]map[strin
 			keyOf[id] = "&" + strconv.FormatUint(uint64(id), 10)
 		}
 	}
-	valKey := func(v Value) string {
+	// appendVal appends a value's identity key: a node's symbolic key
+	// (tagged, so it cannot collide with an atom) or the atom's
+	// AppendKey encoding.
+	appendVal := func(dst []byte, v Value) []byte {
 		if v.IsNode() {
-			if k, ok := keyOf[v.OID()]; ok {
-				return k
+			k, ok := keyOf[v.OID()]
+			if !ok {
+				k = "&" + strconv.FormatUint(uint64(v.OID()), 10)
 			}
-			return "&" + strconv.FormatUint(uint64(v.OID()), 10)
+			return AppendKeyString(append(dst, byte(KindNode)), k)
 		}
-		return v.String()
+		return AppendKey(dst, v)
 	}
 
+	var buf []byte
 	objs = make(map[string]*objSnap, len(g.nodes))
 	for id, nd := range g.nodes {
 		s := &objSnap{edges: make(map[string]struct{}, len(nd.out))}
 		for _, e := range nd.out {
-			s.edges[e.Label+"\x00"+valKey(e.To)] = struct{}{}
+			buf = append(append(buf[:0], e.Label...), 0)
+			buf = appendVal(buf, e.To)
+			s.edges[string(buf)] = struct{}{}
 		}
 		objs[keyOf[id]] = s
 	}
@@ -148,10 +156,10 @@ func (g *Graph) snapshot() (objs map[string]*objSnap, colls map[string]map[strin
 	for name, c := range g.colls {
 		set := make(map[string]struct{}, len(c.members))
 		for _, v := range c.members {
-			k := valKey(v)
-			set[k] = struct{}{}
+			buf = appendVal(buf[:0], v)
+			set[string(buf)] = struct{}{}
 			if v.IsNode() {
-				if s, ok := objs[k]; ok {
+				if s, ok := objs[keyOf[v.OID()]]; ok {
 					if s.members == nil {
 						s.members = make(map[string]struct{})
 					}

@@ -132,3 +132,53 @@ func TestReverseReachable(t *testing.T) {
 		t.Error("unrelated node in reverse cone")
 	}
 }
+
+// TestDiffSeesNumericKindChange: Int(1) and Float(1) print alike, but
+// a value switching between them is a data change — edges, collection
+// members, and a string atom against a node whose name spells it.
+func TestDiffSeesNumericKindChange(t *testing.T) {
+	mk := func(v Value, member Value, quoted bool) *Graph {
+		g := New("g")
+		a := g.NewNode("a")
+		g.AddEdge(a, "n", v)
+		g.AddToCollection("Nums", member)
+		if quoted {
+			q := g.NewNode(`"x"`)
+			g.AddEdge(a, "ref", NodeValue(q))
+		} else {
+			g.NewNode(`"x"`)
+			g.AddEdge(a, "ref", Str("x"))
+		}
+		return g
+	}
+	base := mk(Int(1), Int(2), false)
+	if d := Diff(base, mk(Int(1), Int(2), false)); !d.Empty() {
+		t.Fatalf("equal graphs diff non-empty: %s", d.Summary())
+	}
+	for _, tc := range []struct {
+		name         string
+		new          *Graph
+		labels       []string
+		changed      []string
+		collsTouched bool
+	}{
+		{"edge Int->Float", mk(Float(1), Int(2), false), []string{"n"}, []string{"a"}, false},
+		{"member Int->Float", mk(Int(1), Float(2), false), nil, nil, true},
+		{"string atom->node", mk(Int(1), Int(2), true), []string{"ref"}, []string{"a"}, false},
+	} {
+		d := Diff(base, tc.new)
+		if d.Empty() {
+			t.Errorf("%s: diff is empty", tc.name)
+			continue
+		}
+		if !reflect.DeepEqual(d.TouchedLabels, tc.labels) {
+			t.Errorf("%s: labels = %v, want %v", tc.name, d.TouchedLabels, tc.labels)
+		}
+		if !reflect.DeepEqual(d.ChangedObjects, tc.changed) {
+			t.Errorf("%s: changed = %v, want %v", tc.name, d.ChangedObjects, tc.changed)
+		}
+		if d.HasCollection("Nums") != tc.collsTouched {
+			t.Errorf("%s: collections = %v", tc.name, d.TouchedCollections)
+		}
+	}
+}

@@ -23,6 +23,13 @@ func (g *Graph) RemoveEdge(from OID, label string, to Value) bool {
 		return false
 	}
 	nd.out = append(nd.out[:idx:idx], nd.out[idx+1:]...)
+	if set := g.outSets[from]; set != nil {
+		if len(nd.out) < edgeSetThreshold {
+			delete(g.outSets, from)
+		} else {
+			delete(set, edgeKey{label, to})
+		}
+	}
 	g.edgeCount--
 	if to.IsNode() {
 		if tn, ok := g.nodes[to.OID()]; ok {
@@ -75,6 +82,7 @@ func (g *Graph) RemoveNode(id OID) bool {
 				kept = append(kept, oe)
 			}
 			sn.out = kept
+			delete(g.outSets, e.From)
 			g.edgeCount -= removed
 		}
 	}
@@ -100,6 +108,7 @@ func (g *Graph) RemoveNode(id OID) bool {
 		}
 	}
 	delete(g.nodes, id)
+	delete(g.outSets, id)
 	g.logOp(Op{Kind: OpRemoveNode, Node: id, Name: nd.name})
 	return true
 }
@@ -234,6 +243,7 @@ func (g *Graph) RenumberNodes(order []string) map[OID]OID {
 		nodes[remap(id)] = nd
 	}
 	g.nodes = nodes
+	g.outSets = nil // keyed by old OIDs, over old targets
 	for name, id := range g.names {
 		g.names[name] = remap(id)
 	}

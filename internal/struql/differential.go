@@ -275,8 +275,10 @@ func (m *Materialized) BindingDump() map[int][]string {
 	return out
 }
 
-// dumpKey is rowKey with node values resolved to their data-graph
-// names (unnamed nodes keep the raw rendering).
+// dumpKey renders a row for BindingDump: name=value pairs in name
+// order, node values resolved to their data-graph names (unnamed nodes
+// keep the raw rendering). Unlike rowKey it is printable, not
+// injective.
 func (m *Materialized) dumpKey(e env) string {
 	names := make([]string, 0, len(e))
 	for n := range e {

@@ -3,6 +3,7 @@ package struql
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -1043,31 +1044,41 @@ func dedupe(rows []env) []env {
 	}
 	seen := make(map[string]struct{}, len(rows))
 	out := make([]env, 0, len(rows))
+	var buf []byte
 	for _, r := range rows {
-		k := rowKey(r)
-		if _, dup := seen[k]; dup {
+		buf = appendRowKey(buf[:0], r)
+		if _, dup := seen[string(buf)]; dup {
 			continue
 		}
-		seen[k] = struct{}{}
+		seen[string(buf)] = struct{}{}
 		out = append(out, r)
 	}
 	return out
 }
 
+// rowKey is a binding row's identity key, for map keys only: see
+// appendRowKey.
 func rowKey(r env) string {
-	names := make([]string, 0, len(r))
+	var buf [128]byte
+	return string(appendRowKey(buf[:0], r))
+}
+
+// appendRowKey appends the row's variables in name order, each as its
+// length-prefixed name followed by graph.AppendKey of its value. The
+// encoding is injective, so two rows share a key exactly when they
+// bind the same variables to the same values.
+func appendRowKey(dst []byte, r env) []byte {
+	var nameBuf [16]string
+	names := nameBuf[:0]
 	for n := range r {
 		names = append(names, n)
 	}
-	sort.Strings(names)
-	var sb strings.Builder
+	slices.Sort(names)
 	for _, n := range names {
-		sb.WriteString(n)
-		sb.WriteByte('=')
-		sb.WriteString(r[n].String())
-		sb.WriteByte(';')
+		dst = graph.AppendKeyString(dst, n)
+		dst = graph.AppendKey(dst, r[n])
 	}
-	return sb.String()
+	return dst
 }
 
 // aggKey groups aggregate accumulation by link clause, resolved
@@ -1093,12 +1104,13 @@ type aggState struct {
 // binding row. Links whose target is an aggregate accumulate into acc
 // and are emitted by flushAggregates after all rows.
 func (ev *evaluator) construct(b *Block, r env, acc map[aggKey]*aggState) error {
+	var pr *provRow // the row's provenance handle, made on first touch
 	for _, ct := range b.Creates {
 		id, err := ev.skolemNode(ct, r)
 		if err != nil {
 			return err
 		}
-		ev.recordProv(b, id, r)
+		ev.recordProv(&pr, b, id, r)
 	}
 	for li := range b.Links {
 		l := b.Links[li]
@@ -1109,7 +1121,7 @@ func (ev *evaluator) construct(b *Block, r env, acc map[aggKey]*aggState) error 
 		if !from.IsNode() || !ev.newNodes[from.OID()] {
 			return fmt.Errorf("struql: link %s adds an edge from existing object %s; existing nodes are immutable", l, from)
 		}
-		ev.recordProv(b, from.OID(), r)
+		ev.recordProv(&pr, b, from.OID(), r)
 		var label string
 		switch {
 		case l.Label.Var != "":
@@ -1143,7 +1155,7 @@ func (ev *evaluator) construct(b *Block, r env, acc map[aggKey]*aggState) error 
 			return err
 		}
 		if to.IsNode() && ev.newNodes[to.OID()] {
-			ev.recordProv(b, to.OID(), r)
+			ev.recordProv(&pr, b, to.OID(), r)
 		}
 		if err := ev.out.AddEdge(from.OID(), label, to); err != nil {
 			return err
@@ -1155,7 +1167,7 @@ func (ev *evaluator) construct(b *Block, r env, acc map[aggKey]*aggState) error 
 			return err
 		}
 		if v.IsNode() && ev.newNodes[v.OID()] {
-			ev.recordProv(b, v.OID(), r)
+			ev.recordProv(&pr, b, v.OID(), r)
 		}
 		ev.out.AddToCollection(c.Collection, v)
 	}
@@ -1163,11 +1175,12 @@ func (ev *evaluator) construct(b *Block, r env, acc map[aggKey]*aggState) error 
 }
 
 // recordProv forwards one construction touch to the provenance
-// recorder; a no-op when provenance is off. Called only from the
+// recorder; a no-op when provenance is off. pr is the construct call's
+// row handle, keyed on the row's first touch. Called only from the
 // sequential construction stage.
-func (ev *evaluator) recordProv(b *Block, id graph.OID, r env) {
+func (ev *evaluator) recordProv(pr **provRow, b *Block, id graph.OID, r env) {
 	if ev.prov != nil {
-		ev.prov.record(ev, b, id, r)
+		ev.prov.record(ev, pr, b, id, r)
 	}
 }
 

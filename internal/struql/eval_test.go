@@ -439,3 +439,31 @@ func TestEvalResultIsSetSemantics(t *testing.T) {
 		t.Errorf("Reach has %d members, want 3 (set semantics)", got)
 	}
 }
+
+// TestEvalIntFloatRowsStayDistinct: rows binding Int(1) and Float(1)
+// are distinct binding tuples (both print as 1), so both edges are
+// built.
+func TestEvalIntFloatRowsStayDistinct(t *testing.T) {
+	g := graph.New("g")
+	x := g.NewNode("x")
+	g.AddToCollection("C", graph.NodeValue(x))
+	g.AddEdge(x, "n", graph.Int(1))
+	g.AddEdge(x, "n", graph.Float(1))
+	q := MustParse(`WHERE C(x), x -> "n" -> v CREATE P(x) LINK P(x) -> "v" -> v`)
+	prov := NewProvenance()
+	res := mustEval(t, q, g, &Options{Provenance: prov})
+	if res.Bindings != 2 {
+		t.Errorf("bindings = %d, want 2", res.Bindings)
+	}
+	p, ok := res.Output.NodeByName("P(x)")
+	if !ok {
+		t.Fatal("P(x) not created")
+	}
+	got := res.Output.OutLabel(p, "v")
+	if len(got) != 2 || got[0] != graph.Int(1) || got[1] != graph.Float(1) {
+		t.Errorf("P(x) -> v = %v, want [1 (int), 1 (float)]", got)
+	}
+	if np, ok := prov.Node(p); !ok || np.TupleCount != 2 {
+		t.Errorf("provenance of P(x) = %+v, want 2 tuples", np)
+	}
+}
