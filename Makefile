@@ -1,11 +1,12 @@
 # Verify loop. `make check` is the gate every change must pass: build,
 # vet, the full test suite, the race detector over the atomic
 # telemetry counters and the concurrent click-time cache, the chaos
-# suite (fault-injected sources under concurrent load), and the
-# parallel-build determinism suite.
+# suite (fault-injected sources under concurrent load), the
+# parallel-build determinism suite, and the benchmark harness module's
+# own vet and tests.
 GO ?= go
 
-.PHONY: build test vet race bench bench-smoke chaos crash testpar fuzz load soak ledger check explain-demo
+.PHONY: build test vet race bench bench-smoke chaos crash testpar fuzz load soak ledger perfbench check explain-demo
 
 build:
 	$(GO) build ./...
@@ -54,9 +55,10 @@ testpar:
 # Serving-edge load smoke: the deterministic load-generation
 # conformance harness (Zipf clients, conditional revalidation, fault
 # injection) against the full serving stack, under the race detector —
-# the hit-ratio, p99 and RPS floors plus the ETag differential suite.
+# the hit-ratio, p99 and RPS floors, the ETag differential suite, and
+# serve's one-build-per-response check under concurrent refresh.
 load:
-	$(GO) test -race -run 'LoadConformance|ETag|HTTPConformance|RunLoad' . ./internal/server/ ./internal/workload/
+	$(GO) test -race -run 'LoadConformance|ETag|HTTPConformance|RunLoad' . ./internal/server/ ./internal/workload/ ./cmd/strudel/
 
 # Fuzz smoke: run each language's fuzz target briefly (Go allows one
 # -fuzz pattern per invocation). Longer runs: raise -fuzztime.
@@ -84,6 +86,12 @@ ledger:
 	$(GO) test -race -run 'Ledger|History|TopRenders' ./cmd/strudel/
 	$(GO) test -run '^$$' -bench 'LedgerOverhead' -benchtime 10x .
 
+# The benchmark harness is its own module (perfbench/go.mod), so
+# `go build ./...` above never compiles it: vet and test it here, so a
+# change to an API it calls fails the gate instead of the benchmark.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Introspection demo: the profiled plan of the CNN example site, no
 # manifest required. Try also: -example org, -optimize, -json.
 explain-demo:
@@ -91,4 +99,4 @@ explain-demo:
 
 # bench-smoke is not part of check (CI runs it as its own step); run it
 # directly after touching benchmark code.
-check: build vet test race chaos crash testpar load fuzz ledger
+check: build vet test race chaos crash testpar load fuzz ledger perfbench

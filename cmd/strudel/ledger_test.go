@@ -208,8 +208,7 @@ func TestServeLedgerCycle(t *testing.T) {
 	if !strings.Contains(body, "strudel_freshness_propagation_seconds_count 1") {
 		t.Errorf("metrics missing propagation count 1:\n%s", grepLines(body, "freshness_propagation"))
 	}
-	if !strings.Contains(body, `strudel_edge_build_info{build_id="`+liveID+`"`) &&
-		!strings.Contains(body, `build_id="`+liveID+`"`) {
+	if !strings.Contains(body, `strudel_edge_build_info{build_id="`+liveID+`"`) {
 		t.Errorf("metrics missing edge build info for %q:\n%s", liveID, grepLines(body, "build_info"))
 	}
 	if !strings.Contains(body, "strudel_ledger_entries_total 3") {

@@ -92,7 +92,6 @@ import (
 	"strudel/internal/publish"
 	"strudel/internal/schema"
 	"strudel/internal/server"
-	"strudel/internal/sitegen"
 	"strudel/internal/telemetry"
 	"strudel/internal/workload"
 )
@@ -639,11 +638,44 @@ func (o *serveOptions) observability(ireg *telemetry.Registry) (server.Observabi
 	}
 }
 
-// serveHandler builds the HTTP handler for a manifest — the fully
-// materialized site or click-time evaluation, each with /query for
-// ad-hoc StruQL queries — plus a refresh function that rebuilds from
-// the sources and atomically swaps the new result in (in-flight
-// requests keep their snapshot). The handler is hardened: panics in
+// generation is one served build: its identity, its freshness stamps
+// and the mode's payload (a static Result or a click-time Renderer).
+// serveHandler swaps it as a single pointer, so pages, /query, the
+// debug endpoints, the accounting freshness and the build ID in logs
+// and metrics all name the same build.
+type generation struct {
+	id string
+	// builtAt is when the content was last built or re-validated;
+	// dataAsOf is when its data was last observed at the sources (see
+	// dataStamp).
+	builtAt, dataAsOf time.Time
+	res               *core.Result          // static mode
+	rend              *incremental.Renderer // dynamic mode
+}
+
+// queryGraph is the graph /query evaluates against: the generated site
+// graph in static mode, the data graph click-time pages see in dynamic
+// mode.
+func (g *generation) queryGraph() *graph.Graph {
+	if g.res != nil {
+		return g.res.SiteGraph
+	}
+	return g.rend.Dec.Input()
+}
+
+// dataGraph is the data graph the build's queries ran over.
+func (g *generation) dataGraph() *graph.Graph {
+	if g.res != nil {
+		return g.res.DataGraph
+	}
+	return g.rend.Dec.Input()
+}
+
+// serveHandler builds the HTTP handler for a manifest — the serving
+// edge over the fully materialized site or click-time evaluation, with
+// /query for ad-hoc StruQL queries — plus a refresh function that
+// rebuilds from the sources and atomically swaps the new generation in
+// (in-flight requests keep their snapshot). The handler is hardened: panics in
 // one request answer 500 without taking the process down, and beyond
 // maxInflight concurrent requests new ones are shed with 503. With a
 // non-nil registry the whole pipeline reports into it and the debug
@@ -693,20 +725,16 @@ func serveHandler(m *manifest, opts serveOptions) (http.Handler, func() error, e
 		wd.Observe(e)
 	}
 	mux := http.NewServeMux()
-	var refresh func() error
 	var intro server.Introspector
-	// Observability is assembled before the serving handlers so the
-	// edge's hot/cold policy can rank pages by the same accounting
-	// table the middleware feeds.
+	// Observability is assembled before the edge so its hot/cold policy
+	// can rank pages by the same accounting table the middleware feeds.
 	var obs server.Observability
 	var opsSurface *server.Ops
 	if ireg != nil {
 		obs, opsSurface = opts.observability(ireg)
 	}
-	// edgeOn routes requests through the caching edge (provenance-keyed
-	// ETags, hot-page materialization, precompression) instead of the
-	// plain handlers.
-	edgeOn := opts.hotPages > 0 || opts.compress
+	// Every page request goes through the edge; -hot-pages 0 is plain
+	// serving (no resident bytes, conditional requests still answered).
 	edgeCfg := server.EdgeConfig{
 		Mode:          mode,
 		HotPages:      opts.hotPages,
@@ -715,28 +743,47 @@ func serveHandler(m *manifest, opts serveOptions) (http.Handler, func() error, e
 		Registry:      ireg,
 		RenderTimeout: renderTimeout,
 	}
-	// builtAt tracks (atomically, as unix nanos) when the served
-	// content was last built or re-validated; the accounting table
-	// derives per-page staleness from it. dataAsOf tracks when the
-	// served data was last *observed at its sources* (the refresh
-	// stamp) — a no-op refresh advances builtAt but not dataAsOf — and
-	// curBuild names the live build for cross-plane correlation.
-	var builtAt atomic.Int64
-	var dataAsOf atomic.Int64
-	var curBuild atomic.Value // string
-	curBuild.Store("")
-	buildID := func() string { s, _ := curBuild.Load().(string); return s }
 	var edge *server.Edge
+	// gen is the served generation. refreshLoop is its only writer, so
+	// a cycle may read it without coordination.
+	var gen atomic.Pointer[generation]
+	// swapEdge hands a changed generation's pages to the edge — the one
+	// mode-specific part of commit.
+	var swapEdge func(g *generation)
+	// commit is the swap step every cycle finishes through: it makes g
+	// the served generation, points the edge's build-info metric at it,
+	// and records the cycle's ledger entry. A changed cycle also swaps
+	// the edge's pages and stamps freshness — from when the source
+	// change entered the pipeline (the refresh report's stamp, else t0)
+	// to the instant the edge answers from the new build.
+	commit := func(g *generation, e ledger.Entry, rep *mediator.RefreshReport, t0 time.Time, changed bool) {
+		g.dataAsOf = dataStamp(rep, t0)
+		gen.Store(g)
+		if changed {
+			swapEdge(g)
+			observed := t0
+			if rep != nil && !rep.At.IsZero() {
+				observed = rep.At
+			}
+			e.StampFreshness(observed, time.Now())
+		}
+		edge.NoteBuild(g.id)
+		record(e)
+	}
+	// fail records a cycle that built nothing; the last generation
+	// keeps serving.
+	fail := func(err error) error {
+		record(ledger.Entry{BuildID: telemetry.NewID("build"), Site: m.name,
+			Trigger: "interval", Mode: "failed", Err: err.Error()})
+		return err
+	}
+	var refresh func() error
 
 	if dynamic {
 		r0, err := m.builder.BuildDynamic()
 		if err != nil {
 			return nil, nil, err
 		}
-		var cur atomic.Pointer[incremental.Renderer]
-		cur.Store(r0)
-		builtAt.Store(r0.BuiltAt.UnixNano())
-		dataAsOf.Store(r0.BuiltAt.UnixNano())
 		// Click-time rendering has no core.Result; each cycle gets a
 		// fresh build ID and a minimal ledger entry carrying the
 		// mediator's per-source outcomes.
@@ -749,67 +796,32 @@ func serveHandler(m *manifest, opts serveOptions) (http.Handler, func() error, e
 			}
 			return e
 		}
-		id0 := telemetry.NewID("build")
-		curBuild.Store(id0)
-		record(dynEntry(id0, "initial", 0))
-		if edgeOn {
-			edge = server.DynamicEdge(cur.Load, m.rootColl, edgeCfg)
-			edge.NoteBuild(id0)
-			if opts.hotPages > 0 && opts.stop != nil {
-				go edge.RunPolicy(opts.stop, 0)
-			}
-			mux.Handle("/", edge)
-		} else {
-			mux.Handle("/", server.DynamicFrom(cur.Load, m.rootColl,
-				server.DynamicConfig{Registry: ireg, RenderTimeout: renderTimeout}))
-		}
-		// Ad-hoc queries run against the same data-graph snapshot the
-		// click-time pages see.
-		mux.Handle("/query", http.StripPrefix("/query", server.QueryHandlerFrom(
-			func() *graph.Graph { return cur.Load().Dec.Input() }, m.builder.Registry(), 0)))
-		// Explain profiles the full query over the renderer's current
-		// data snapshot; click-time pages have no persistent provenance
-		// records (pages are computed and discarded per request).
-		intro.Explain = func() (any, error) {
-			return m.builder.ExplainData(cur.Load().Dec.Input())
-		}
+		edge = server.DynamicEdge(func() *incremental.Renderer { return gen.Load().rend },
+			m.rootColl, edgeCfg)
+		// A new renderer means the data changed, but which resident pages
+		// it touched is unknowable (dynamic pages have no tag before
+		// rendering): drop them all and let the policy re-materialize
+		// from the new snapshot on demand.
+		swapEdge = func(*generation) { edge.FlushHot() }
+		g0 := &generation{id: telemetry.NewID("build"), builtAt: r0.BuiltAt, rend: r0}
+		commit(g0, dynEntry(g0.id, "initial", 0), m.builder.LastRefresh(), r0.BuiltAt, false)
 		// Incremental refresh: the mediator reports what changed, and the
 		// new renderer adopts cached pages of unaffected classes instead
-		// of starting cold. refreshLoop is the only caller, so reading
-		// cur without coordination is safe.
+		// of starting cold; unchanged data returns the same renderer.
 		refresh = func() error {
 			t0 := time.Now()
-			prev := cur.Load()
+			prev := gen.Load().rend
 			r, err := m.builder.RebuildDynamic(prev)
 			if err != nil {
-				record(ledger.Entry{BuildID: telemetry.NewID("build"), Site: m.name,
-					Trigger: "interval", Mode: "failed", Err: err.Error()})
-				return err
+				return fail(err)
 			}
 			warnDegraded(m.builder, logg)
-			id := telemetry.NewID("build")
-			e := dynEntry(id, "interval", float64(time.Since(t0))/float64(time.Millisecond))
-			if r != prev {
-				cur.Store(r)
-				if edge != nil {
-					// A new renderer means the data changed: resident hot
-					// bytes may be stale, so drop them and let the policy
-					// re-materialize from the new snapshot on demand.
-					edge.FlushHot()
-					edge.NoteBuild(id)
-				}
-				observed := t0
-				if rep := m.builder.LastRefresh(); rep != nil && !rep.At.IsZero() {
-					observed = rep.At
-				}
-				e.StampFreshness(observed, time.Now())
-				dataAsOf.Store(dataStamp(m.builder.LastRefresh(), observed).UnixNano())
-			} else {
+			g := &generation{id: telemetry.NewID("build"), builtAt: r.BuiltAt, rend: r}
+			e := dynEntry(g.id, "interval", float64(time.Since(t0))/float64(time.Millisecond))
+			if r == prev {
 				e.Mode = "noop"
 			}
-			curBuild.Store(id)
-			record(e)
-			builtAt.Store(r.BuiltAt.UnixNano())
+			commit(g, e, m.builder.LastRefresh(), t0, r != prev)
 			return nil
 		}
 	} else {
@@ -825,110 +837,73 @@ func serveHandler(m *manifest, opts serveOptions) (http.Handler, func() error, e
 		for _, v := range res.Violations {
 			logg.Warn("constraint violation", "build_id", res.Trace.ID, "violation", fmt.Sprint(v))
 		}
-		gen0 := 0
+		e0 := ledger.FromResult(res, "initial")
 		if opts.pub != nil {
-			gen0, err = opts.pub.PublishSite(res.Site, res.Trace.ID, time.Time{})
+			e0.Generation, err = opts.pub.PublishSite(res.Site, res.Trace.ID, time.Time{})
 			if err != nil {
 				return nil, nil, fmt.Errorf("publishing initial build: %w", err)
 			}
-			logg.Info("published", "build_id", res.Trace.ID, "generation", gen0, "dir", opts.pub.Dir())
+			logg.Info("published", "build_id", res.Trace.ID, "generation", e0.Generation, "dir", opts.pub.Dir())
 		}
-		var cur atomic.Pointer[core.Result]
-		cur.Store(res)
-		builtAt.Store(res.BuiltAt.UnixNano())
-		curBuild.Store(res.Trace.ID)
-		// The initial build's data is as fresh as its refresh stamp
-		// (when the mediator fetched), falling back to build completion.
-		dataAsOf.Store(dataStamp(res.Refresh, res.BuiltAt).UnixNano())
-		e0 := ledger.FromResult(res, "initial")
-		e0.Generation = gen0
-		record(e0)
-		if edgeOn {
-			edge = server.NewEdge(server.NewSiteSource(res.Site), edgeCfg)
-			edge.NoteBuild(res.Trace.ID)
-			if opts.hotPages > 0 && opts.stop != nil {
-				go edge.RunPolicy(opts.stop, 0)
-			}
-			mux.Handle("/", edge)
-		} else {
-			mux.Handle("/", server.StaticFrom(func() *sitegen.Site { return cur.Load().Site }))
-		}
-		mux.Handle("/query", http.StripPrefix("/query", server.QueryHandlerFrom(
-			func() *graph.Graph { return cur.Load().SiteGraph }, m.builder.Registry(), 0)))
-		intro.Explain = func() (any, error) {
-			return m.builder.ExplainData(cur.Load().DataGraph)
-		}
+		edge = server.NewEdge(server.NewSiteSource(res.Site), edgeCfg)
+		// Hot pages whose ETag survived the rebuild keep their resident
+		// bytes; invalidated ones re-materialize from the new site.
+		swapEdge = func(g *generation) { edge.SetSource(server.NewSiteSource(g.res.Site)) }
+		commit(&generation{id: res.Trace.ID, builtAt: res.BuiltAt, res: res},
+			e0, res.Refresh, res.BuiltAt, false)
 		intro.Provenance = func(page string) (any, bool, error) {
-			pp, ok := cur.Load().PageProvenance(page)
+			pp, ok := gen.Load().res.PageProvenance(page)
 			if !ok {
 				return nil, false, nil
 			}
 			return pp, true, nil
 		}
 		// Incremental refresh: the mediator's warehouse delta decides
-		// which pages re-render; unchanged data is a noop. prev is only
-		// touched by refreshLoop (a single goroutine), so no lock.
-		prev := res
+		// which pages re-render; unchanged data is a noop.
 		refresh = func() error {
 			t0 := time.Now()
-			next, err := m.builder.Rebuild(prev)
+			next, err := m.builder.Rebuild(gen.Load().res)
 			if err != nil {
-				record(ledger.Entry{BuildID: telemetry.NewID("build"), Site: m.name,
-					Trigger: "interval", Mode: "failed", Err: err.Error()})
-				return err
+				return fail(err)
 			}
 			warnDegraded(m.builder, logg)
-			// observed is the freshness anchor: when the source change
-			// entered the pipeline (the refresh-report stamp, i.e. when
-			// the mediator started fetching), not when the rebuild ended.
-			observed := t0
-			if rep := next.Refresh; rep != nil && !rep.At.IsZero() {
-				observed = rep.At
-			}
 			changed := next.Incremental == nil || next.Incremental.Mode != "noop"
-			gen := 0
+			e := ledger.FromResult(next, "interval")
 			if opts.pub != nil && changed {
 				// Publish before swapping: the in-memory site only
 				// replaces the old one once the new generation is the
 				// committed CURRENT on disk. A failed publish (e.g.
 				// disk full) keeps serving the last published build
 				// and is retried by the refresh loop's backoff.
-				gen, err = opts.pub.PublishSite(next.Site, next.Trace.ID, time.Time{})
+				e.Generation, err = opts.pub.PublishSite(next.Site, next.Trace.ID, time.Time{})
 				if err != nil {
-					fe := ledger.FromResult(next, "interval")
-					fe.Err = "publish: " + err.Error()
-					record(fe)
+					e.Err = "publish: " + err.Error()
+					record(e)
 					return fmt.Errorf("publish failed, serving last good generation: %w", err)
 				}
-				logg.Info("published", "build_id", next.Trace.ID, "generation", gen, "dir", opts.pub.Dir())
+				logg.Info("published", "build_id", next.Trace.ID, "generation", e.Generation, "dir", opts.pub.Dir())
 			}
-			if info := next.Incremental; info != nil && info.Mode != "noop" {
+			if info := next.Incremental; info != nil && changed {
 				logg.Info("rebuilt", "build_id", next.Trace.ID, "mode", info.Mode,
 					"summary", info.Summary())
 			}
-			cur.Store(next)
-			if edge != nil && changed {
-				// Swap the edge's snapshot: hot pages whose ETag survived
-				// the rebuild keep their resident bytes; invalidated ones
-				// re-materialize from the new site.
-				edge.SetSource(server.NewSiteSource(next.Site))
-				edge.NoteBuild(next.Trace.ID)
-			}
-			// The new ETags are servable from this instant: the result is
-			// swapped and (when edged) the edge answers from it.
-			servable := time.Now()
-			e := ledger.FromResult(next, "interval")
-			e.Generation = gen
-			if changed {
-				e.StampFreshness(observed, servable)
-			}
-			record(e)
-			curBuild.Store(next.Trace.ID)
-			dataAsOf.Store(dataStamp(next.Refresh, observed).UnixNano())
-			prev = next
-			builtAt.Store(next.BuiltAt.UnixNano())
+			commit(&generation{id: next.Trace.ID, builtAt: next.BuiltAt, res: next},
+				e, next.Refresh, t0, changed)
 			return nil
 		}
+	}
+	if opts.hotPages > 0 && opts.stop != nil {
+		go edge.RunPolicy(opts.stop, 0)
+	}
+	mux.Handle("/", edge)
+	mux.Handle("/query", http.StripPrefix("/query", server.QueryHandlerFrom(
+		func() *graph.Graph { return gen.Load().queryGraph() }, m.builder.Registry(), 0)))
+	// Explain profiles the full query over the served build's data
+	// graph; click-time pages have no persistent provenance records
+	// (pages are computed and discarded per request), so only static
+	// mode answers /debug/provenance.
+	intro.Explain = func() (any, error) {
+		return m.builder.ExplainData(gen.Load().dataGraph())
 	}
 
 	// Readiness follows the mediator: a refresh that hard-failed (a
@@ -957,19 +932,13 @@ func serveHandler(m *manifest, opts serveOptions) (http.Handler, func() error, e
 		return outer, refresh, nil
 	}
 	if obs.Accounting != nil {
-		obs.Accounting.SetFreshness(func() time.Time {
-			return time.Unix(0, builtAt.Load())
-		})
-		obs.Accounting.SetDataFreshness(func() time.Time {
-			if v := dataAsOf.Load(); v != 0 {
-				return time.Unix(0, v)
-			}
-			return time.Time{}
-		})
+		obs.Accounting.SetFreshness(func() time.Time { return gen.Load().builtAt })
+		obs.Accounting.SetDataFreshness(func() time.Time { return gen.Load().dataAsOf })
 	}
 	// Every served request carries the live build's ID into the access
 	// log and sampled traces — the serving-plane half of the ledger's
 	// cross-plane correlation.
+	buildID := func() string { return gen.Load().id }
 	obs.BuildID = buildID
 	// The debug and health endpoints mount outside the instrumented
 	// shedding chain, so /metrics, /readyz and /debug/ops stay

@@ -333,6 +333,28 @@ object pub2 in Publications { title "Beta" year 1998 }
 		t.Error("selective rebuild must reuse unaffected pages")
 	}
 	checkMediationSpan(t, res2)
+	// The site-graph diff is attributed: a child of the generate span,
+	// whose duration GenerateTime reports.
+	var diff *telemetry.Span
+	for _, sp := range res2.Trace.Root().Children() {
+		if sp.Name != "generate" {
+			continue
+		}
+		if sp.Duration() != res2.Stats.GenerateTime {
+			t.Errorf("GenerateTime = %v, generate span = %v", res2.Stats.GenerateTime, sp.Duration())
+		}
+		for _, c := range sp.Children() {
+			if c.Name == "site_diff" {
+				diff = c
+			}
+		}
+	}
+	if diff == nil {
+		t.Fatal("selective rebuild has no generate/site_diff span")
+	}
+	if diff.Duration() <= 0 || diff.Duration() > res2.Stats.GenerateTime {
+		t.Errorf("site_diff = %v, not covered by GenerateTime %v", diff.Duration(), res2.Stats.GenerateTime)
+	}
 	scratch := NewBuilder("med2")
 	if err := scratch.AddSourceFunc("bib", "datadef", func() (string, error) { return content, nil }); err != nil {
 		t.Fatal(err)

@@ -476,8 +476,12 @@ func (b *Builder) rebuildFrom(prev *Result, mediate func() (mediated, error)) (*
 	aVerify := telemetry.AllocBytes()
 	res.Stats.VerifyAlloc = aVerify - aQuery
 
+	// The site-graph diff picks the pages to re-render, so it is timed
+	// as part of generate, in its own child span.
+	gsp := tr.Root().Child("generate")
 	var affected func(graph.OID) bool
 	if delta != nil {
+		dsp := gsp.Child("site_diff")
 		siteDelta := graph.Diff(prev.SiteGraph, site)
 		var starts []graph.OID
 		resolvable := true
@@ -499,9 +503,9 @@ func (b *Builder) rebuildFrom(prev *Result, mediate func() (mediated, error)) (*
 				return ok
 			}
 		}
+		dsp.Finish()
 	}
 
-	gsp := tr.Root().Child("generate")
 	gen := sitegen.New(site, sitegen.Config{
 		Templates:    b.templates,
 		EmbedOnly:    b.embedOnly,

@@ -236,8 +236,10 @@ func (s *rendererSource) renderRoot(ctx context.Context, r *incremental.Renderer
 // pages run their decomposed query per request (bounded by
 // cfg.RenderTimeout), hot pages — when cfg.HotPages and
 // cfg.Accounting are wired — hold rendered bytes resident and answer
-// conditional requests without rendering. The getter semantics match
-// DynamicFrom. Call FlushHot after an in-place data refresh.
+// conditional requests without rendering. Each render loads the
+// getter's renderer once and uses it throughout, so a background
+// refresher can atomically swap in a renderer over fresh data while
+// requests are in flight. Call FlushHot after such a swap.
 func DynamicEdge(get func() *incremental.Renderer, rootCollection string, cfg EdgeConfig) *Edge {
 	if cfg.Mode == "" {
 		cfg.Mode = "dynamic"

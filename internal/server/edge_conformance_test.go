@@ -114,7 +114,7 @@ func TestHTTPConformance(t *testing.T) {
 		},
 		{
 			name:     "dynamic",
-			handler:  Dynamic(renderer, "Roots"),
+			handler:  dynamicEdge(renderer, EdgeConfig{}),
 			pagePath: "/page/YearPage%281997%29",
 			pageBody: yearBody,
 			missing:  "/page/YearPage%282050%29",

@@ -11,7 +11,7 @@ import (
 	"strudel/internal/telemetry"
 )
 
-// QueryHandler serves ad-hoc StruQL queries against a graph — the
+// QueryHandlerFrom serves ad-hoc StruQL queries against a graph — the
 // "querying a STRUDEL-generated site" use the paper suggests for
 // regular path expressions (Sec. 5.2), and the simplest form of a page
 // that depends on user input and therefore cannot be materialized
@@ -21,14 +21,10 @@ import (
 // ad-hoc query must not mutate the site.
 //
 // maxBindings bounds evaluation (0 means 100000) so a stray
-// active-domain query cannot take the server down.
-func QueryHandler(g *graph.Graph, reg *struql.Registry, maxBindings int) http.Handler {
-	return QueryHandlerFrom(func() *graph.Graph { return g }, reg, maxBindings)
-}
-
-// QueryHandlerFrom is QueryHandler over whatever graph the getter
-// currently returns, so ad-hoc queries follow a background refresher's
-// atomic swaps and always see the latest committed graph.
+// active-domain query cannot take the server down. Each request
+// evaluates against whatever graph the getter currently returns, so
+// ad-hoc queries follow a background refresher's atomic swaps and
+// always see the latest committed graph.
 func QueryHandlerFrom(get func() *graph.Graph, reg *struql.Registry, maxBindings int) http.Handler {
 	if maxBindings == 0 {
 		maxBindings = 100_000

@@ -500,7 +500,7 @@ func TestRequestSpanReachesRenderer(t *testing.T) {
 	tracer := telemetry.NewRequestTracer(1, 8) // trace every request
 	reg := telemetry.NewRegistry()
 	h := InstrumentObserved(Observability{Registry: reg, Tracer: tracer},
-		"dynamic", Dynamic(rend, "Roots"))
+		"dynamic", dynamicEdge(rend, EdgeConfig{}))
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 

@@ -2,13 +2,14 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
 	"time"
 
@@ -40,7 +41,7 @@ func TestStaticServer(t *testing.T) {
 		"index.html": {Path: "index.html", HTML: "<h1>Home</h1>"},
 		"a.html":     {Path: "a.html", HTML: "<h1>A</h1>"},
 	}}
-	srv := httptest.NewServer(Static(site))
+	srv := httptest.NewServer(NewEdge(NewSiteSource(site), EdgeConfig{}))
 	defer srv.Close()
 	if code, body := get(t, srv, "/"); code != 200 || body != "<h1>Home</h1>" {
 		t.Errorf("/ = %d %q", code, body)
@@ -57,12 +58,17 @@ func TestStaticServerListingWithoutIndex(t *testing.T) {
 	site := &sitegen.Site{Pages: map[string]*sitegen.Page{
 		"a.html": {Path: "a.html", HTML: "A"},
 	}}
-	srv := httptest.NewServer(Static(site))
+	srv := httptest.NewServer(NewEdge(NewSiteSource(site), EdgeConfig{}))
 	defer srv.Close()
 	code, body := get(t, srv, "/")
 	if code != 200 || !strings.Contains(body, `href="/a.html"`) {
 		t.Errorf("listing = %d %q", code, body)
 	}
+}
+
+// dynamicEdge serves click-time pages from one fixed renderer.
+func dynamicEdge(r *incremental.Renderer, cfg EdgeConfig) *Edge {
+	return DynamicEdge(func() *incremental.Renderer { return r }, "Roots", cfg)
 }
 
 func dynamicRenderer(t *testing.T) *incremental.Renderer {
@@ -100,7 +106,7 @@ LINK YearPage(y) -> "Year" -> y,
 }
 
 func TestDynamicServerClickThrough(t *testing.T) {
-	srv := httptest.NewServer(Dynamic(dynamicRenderer(t), "Roots"))
+	srv := httptest.NewServer(dynamicEdge(dynamicRenderer(t), EdgeConfig{}))
 	defer srv.Close()
 	// Root renders with links to year pages.
 	code, body := get(t, srv, "/")
@@ -126,7 +132,7 @@ func TestDynamicServerClickThrough(t *testing.T) {
 
 func TestDynamicServerCachesPages(t *testing.T) {
 	r := dynamicRenderer(t)
-	srv := httptest.NewServer(Dynamic(r, "Roots"))
+	srv := httptest.NewServer(dynamicEdge(r, EdgeConfig{}))
 	defer srv.Close()
 	get(t, srv, "/")
 	get(t, srv, "/page/YearPage%281997%29")
@@ -159,7 +165,7 @@ func brokenRenderer(t *testing.T) *incremental.Renderer {
 // the response body — and is counted in the telemetry registry.
 func TestDynamicServerRenderErrorIs500(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	srv := httptest.NewServer(DynamicWith(brokenRenderer(t), "Roots", reg))
+	srv := httptest.NewServer(dynamicEdge(brokenRenderer(t), EdgeConfig{Registry: reg}))
 	defer srv.Close()
 	code, body := get(t, srv, "/")
 	if code != 500 {
@@ -187,7 +193,7 @@ func TestInstrumentAndMetricsEndpoint(t *testing.T) {
 	}}
 	reg := telemetry.NewRegistry()
 	mux := http.NewServeMux()
-	mux.Handle("/", Instrument(reg, "static", Static(site)))
+	mux.Handle("/", Instrument(reg, "static", NewEdge(NewSiteSource(site), EdgeConfig{})))
 	AttachDebug(mux, reg)
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
@@ -230,7 +236,7 @@ object about in Pages { title "About" kind "page" link home }
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(QueryHandler(res.Graph, nil, 0))
+	srv := httptest.NewServer(QueryHandlerFrom(func() *graph.Graph { return res.Graph }, nil, 0))
 	defer srv.Close()
 
 	// The empty query serves the form.
@@ -259,7 +265,7 @@ object about in Pages { title "About" kind "page" link home }
 		t.Errorf("bad query = %d", code)
 	}
 	// Runaway queries hit the binding cap.
-	srvTight := httptest.NewServer(QueryHandler(res.Graph, nil, 2))
+	srvTight := httptest.NewServer(QueryHandlerFrom(func() *graph.Graph { return res.Graph }, nil, 2))
 	defer srvTight.Close()
 	q = url.QueryEscape(`WHERE Pages(p), p -> a -> v COLLECT Out(v)`)
 	if code, _ = get(t, srvTight, "/?q="+q); code != 422 {
@@ -378,9 +384,7 @@ func TestDynamicRenderDeadline(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	r, gate := hangingRenderer(t)
 	defer close(gate)
-	h := DynamicFrom(func() *incremental.Renderer { return r }, "Roots",
-		DynamicConfig{Registry: reg, RenderTimeout: 20 * time.Millisecond})
-	srv := httptest.NewServer(h)
+	srv := httptest.NewServer(dynamicEdge(r, EdgeConfig{Registry: reg, RenderTimeout: 20 * time.Millisecond}))
 	defer srv.Close()
 	code, body := get(t, srv, "/")
 	if code != 504 {
@@ -437,22 +441,65 @@ func TestServeUntilGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestStaticFromSwapsAtomically: swapping the site pointer mid-serving
-// switches responses without restart.
-func TestStaticFromSwapsAtomically(t *testing.T) {
-	var cur atomic.Pointer[sitegen.Site]
-	cur.Store(&sitegen.Site{Pages: map[string]*sitegen.Page{
-		"index.html": {Path: "index.html", HTML: "v1"},
-	}})
-	srv := httptest.NewServer(StaticFrom(cur.Load))
+// TestEdgeSetSourceSwapsAtomically: swapping the edge's source while
+// clients read switches responses without restart, and every response
+// belongs to one snapshot — its ETag and bytes never mix the two.
+func TestEdgeSetSourceSwapsAtomically(t *testing.T) {
+	site := func(body string) *sitegen.Site {
+		return &sitegen.Site{Pages: map[string]*sitegen.Page{
+			"index.html": {Path: "index.html", HTML: body, ETag: sitegen.BytesETag(body)},
+		}}
+	}
+	acct := NewAccounting(16)
+	edge := NewEdge(NewSiteSource(site("v1")), EdgeConfig{HotPages: 1, Accounting: acct})
+	srv := httptest.NewServer(edge)
 	defer srv.Close()
 	if _, body := get(t, srv, "/"); body != "v1" {
 		t.Fatalf("body = %q", body)
 	}
-	cur.Store(&sitegen.Site{Pages: map[string]*sitegen.Page{
-		"index.html": {Path: "index.html", HTML: "v2"},
-	}})
-	if _, body := get(t, srv, "/"); body != "v2" {
-		t.Fatalf("after swap body = %q", body)
+	// Make the page resident, so each swap re-materializes it.
+	acct.Record("/", 200, 2, time.Millisecond, time.Now())
+	edge.Rerank()
+	if got := edge.HotKeys(); len(got) != 1 {
+		t.Fatalf("hot = %v, want index.html resident", got)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := http.Get(srv.URL + "/")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if tag := resp.Header.Get("ETag"); tag != sitegen.BytesETag(string(body)) {
+					t.Errorf("ETag %s does not belong to body %q", tag, body)
+					return
+				}
+			}
+		}()
+	}
+	for i := 2; i <= 50; i++ {
+		want := fmt.Sprintf("v%d", i)
+		edge.SetSource(NewSiteSource(site(want)))
+		if _, body := get(t, srv, "/"); body != want {
+			t.Fatalf("after swap %d body = %q", i, body)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if st := edge.Stats(); st.Rematerializations != 49 {
+		t.Errorf("rematerializations = %d, want one per swap", st.Rematerializations)
 	}
 }
